@@ -2,16 +2,13 @@
 
 Each ``tableN`` function trains what it needs, runs Spark-batched inference
 over the test split, computes §VI-A metrics, and returns a nested dict
-``{city: {row: {metric: value}}}``. ``write_report`` persists JSON +
-markdown under ``reports/`` for EXPERIMENTS.md.
+``{city: {row: {metric: value}}}``; the ``jobs/`` scripts persist it as
+JSON + markdown under ``reports/`` for EXPERIMENTS.md.
 
 The paper's published numbers are embedded as ``PAPER_TABLE*`` so reports
 can print paper-vs-ours side by side.
 """
 from __future__ import annotations
-
-import json
-import os
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -72,14 +69,6 @@ def gt_recovery_frame(city: CityData, split: str = "test"):
 
 def gt_route_frame(city: CityData, split: str = "test"):
     return city.routes.filter(F.col("split") == split).select("traj_id", "seg")
-
-
-def write_report(name: str, data: dict, out_dir: str = "reports") -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{name}.json")
-    with open(path, "w") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
-    return path
 
 
 def table_markdown(data: dict, metrics: list[str], scale: float = 100.0, fmt: str = ".2f") -> str:

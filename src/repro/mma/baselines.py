@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mma.features import K_C, build_mma_sample, candidate_features, point_features
-from repro.nn.autodiff import Tensor
+from repro.nn.autodiff import Tensor, no_grad
 from repro.nn.gru import GRU
 from repro.nn.layers import Linear, MLP, Module
 from repro.nn.optim import Adam
@@ -319,6 +319,7 @@ class DeepMMMatcher:
         _train_full_vocab(self.model, seqs, labels, pens, epochs, lr, seed)
         return self
 
+    @no_grad()
     def match(self, xs, ys, ts, t0) -> np.ndarray:
         X = point_features(np.asarray(xs), np.asarray(ys), np.asarray(ts), t0, self.norm)
         pen = matcher_locality_prior(self.net, xs, ys)
@@ -390,6 +391,7 @@ class GraphMMMatcher:
                 opt.step()
         return self
 
+    @no_grad()
     def match(self, xs, ys, ts, t0) -> np.ndarray:
         cand, feats, mask = candidate_features(self.net, self.index, np.asarray(xs), np.asarray(ys))
         out = np.zeros(len(xs), dtype=np.int64)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mma.features import MMASample, N_CAND_FEATS
-from repro.nn.autodiff import Tensor, concat
+from repro.nn.autodiff import Tensor, concat, no_grad
 from repro.nn.layers import Embedding, Linear, MLP, Module
 from repro.nn.transformer import TransformerEncoder
 
@@ -87,6 +87,7 @@ class MMAModel(Module):
         m = s.mask.astype(np.float64)
         return (bce * Tensor(m)).sum() * (1.0 / max(1.0, m.sum()))
 
+    @no_grad()
     def predict(self, s: MMASample) -> np.ndarray:
         """Matched segment id per point: argmax_{c ∈ C} P(c|p) (Alg.1 l.9)."""
         logits = self.forward(s).data

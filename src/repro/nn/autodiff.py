@@ -12,12 +12,30 @@ Only the ops the reproduction's models need are implemented — matmul,
 elementwise arithmetic, relu/sigmoid/tanh/exp/log/sqrt/pow, reductions,
 reshape/transpose/slicing, concat/stack, and composite softmax /
 log-softmax. All math is float64.
+
+Inside :func:`no_grad` no op records its parents or backward closure, so
+inference builds no graph; the switch is process-wide, not per thread.
 """
 from __future__ import annotations
 
+import contextlib
 from typing import Sequence
 
 import numpy as np
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no autodiff graph while active (usable as a decorator too)."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 def _as_array(x) -> np.ndarray:
@@ -59,7 +77,7 @@ class Tensor:
 
     def _make(self, data, parents, backward) -> "Tensor":
         out = Tensor(data)
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = tuple(parents)
             out._backward = backward
@@ -74,7 +92,7 @@ class Tensor:
         return self.data.ndim
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
@@ -332,7 +350,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    out.requires_grad = any(t.requires_grad for t in tensors)
+    out.requires_grad = _grad_enabled and any(t.requires_grad for t in tensors)
     if out.requires_grad:
         out._parents = tuple(tensors)
         out._backward = backward
@@ -348,7 +366,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.squeeze(p, axis=axis) for p in parts)
 
     out = Tensor(np.stack([t.data for t in tensors], axis=axis))
-    out.requires_grad = any(t.requires_grad for t in tensors)
+    out.requires_grad = _grad_enabled and any(t.requires_grad for t in tensors)
     if out.requires_grad:
         out._parents = tuple(tensors)
         out._backward = backward

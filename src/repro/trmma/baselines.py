@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.mma.baselines import HMMMatcher, segment_feature_matrix
 from repro.mma.features import point_features
-from repro.nn.autodiff import Tensor, concat, stack
+from repro.nn.autodiff import Tensor, concat, no_grad
 from repro.nn.gru import BiGRU, GRU, GRUCell
 from repro.nn.layers import Linear, MLP, Module
 from repro.nn.optim import Adam
@@ -276,6 +276,7 @@ class _Seq2SegRecoverer:
                 print(f"[{self.name}:{city.name}] epoch {ep + 1}/{epochs}")
         return self
 
+    @no_grad()
     def recover(self, xs, ys, ts, t0, idxs, n_ticks):
         return self._rollout(xs, ys, ts, t0, idxs, n_ticks)
 
@@ -515,6 +516,7 @@ class _FreeSpaceRecoverer:
                 print(f"[{self.name}:{city.name}] epoch {ep + 1}/{epochs}")
         return self
 
+    @no_grad()
     def recover(self, xs, ys, ts, t0, idxs, n_ticks):
         coords = self._coords(xs, ys, ts, t0, idxs, n_ticks).data
         px, py = self._post(coords[:, 0], coords[:, 1])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.autodiff import Tensor, concat
+from repro.nn.autodiff import Tensor, concat, no_grad
 from repro.nn.gru import GRUCell
 from repro.nn.layers import Embedding, Linear, MLP, Module
 from repro.nn.transformer import TransformerEncoder
@@ -119,33 +119,32 @@ class TRMMAModel(Module):
         start = s.route_feats[:, 1]
         tw = np.maximum(s.route_timew, 1e-9)
         cum_t = np.concatenate([[0.0], np.cumsum(tw)])
-
-        def off2t(off):
-            k = int(np.clip(np.searchsorted(start, off, side="right") - 1, 0, len(ln) - 1))
-            return cum_t[k] + np.clip((off - start[k]) / ln[k], 0, 1) * tw[k]
-
-        def t2off(tv):
-            k = int(np.clip(np.searchsorted(cum_t, tv, side="right") - 1, 0, len(ln) - 1))
-            return start[k] + np.clip((tv - cum_t[k]) / tw[k], 0, 1) * ln[k]
-
+        last = len(ln) - 1
+        # offset → expected time, linear inside the segment holding the offset
         off_obs = start[s.obs_pos] + s.obs_feats[:, 4] * ln[s.obs_pos]
-        t_obs = np.array([off2t(o) for o in off_obs])
+        k = np.clip(np.searchsorted(start, off_obs, side="right") - 1, 0, last)
+        t_obs = cum_t[k] + np.clip((off_obs - start[k]) / ln[k], 0, 1) * tw[k]
         t_ticks = np.interp(np.arange(s.n_ticks), s.obs_tick.astype(float), t_obs)
-        return np.array([t2off(tv) for tv in t_ticks])
+        # and back: expected time → offset
+        k = np.clip(np.searchsorted(cum_t, t_ticks, side="right") - 1, 0, last)
+        return start[k] + np.clip((t_ticks - cum_t[k]) / tw[k], 0, 1) * ln[k]
 
     @staticmethod
-    def _decode_feats(s: TrmmaSample, tau: float, exp_off: float) -> np.ndarray:
+    def _decode_feats(s: TrmmaSample, tau: float | np.ndarray, exp_off: float | np.ndarray) -> np.ndarray:
         """(ℓ_R, 4) per-segment decode-time features in *segment-relative*
         coordinates (O(1)-scaled so the MLP can resolve the containment
         boundary): the would-be ratio of ``exp_off``/``tau`` inside each
-        segment — in [0, 1) exactly for the containing segment."""
+        segment — in [0, 1) exactly for the containing segment.
+
+        Scalar ``tau``/``exp_off`` give one tick; equal-length arrays give
+        one (ℓ_R, 4) block per tick, shape (len, ℓ_R, 4)."""
         ln = np.maximum(s.route_feats[:, 0], 1e-6)
         start = s.route_feats[:, 1]
-        r_exp = np.clip((exp_off - start) / ln, -3.0, 4.0)
-        r_tau = np.clip((tau - start) / ln, -3.0, 4.0)
+        r_exp = np.clip((np.asarray(exp_off)[..., None] - start) / ln, -3.0, 4.0)
+        r_tau = np.clip((np.asarray(tau)[..., None] - start) / ln, -3.0, 4.0)
         inside = ((r_exp >= 0) & (r_exp < 1)).astype(np.float64)
         inside_tau = ((r_tau >= 0) & (r_tau < 1)).astype(np.float64)
-        return np.stack([r_exp, r_tau, inside, inside_tau], axis=1)
+        return np.stack([r_exp, r_tau, inside, inside_tau], axis=-1)
 
     def _step_scores(self, H: Tensor, h: Tensor, s: TrmmaSample, tau: float, exp_off: float) -> Tensor:
         """Eq.(15): w_k for every route segment, shape (ℓ_R,)."""
@@ -236,28 +235,71 @@ class TRMMAModel(Module):
         Observed ticks carry their matched point (Alg. 2 lines 2-4);
         missing ticks are decoded sequentially under the route-order
         constraint (Eq. 17).
+
+        The maths is that of :meth:`_step_scores`, :meth:`_step_ratio` and
+        the GRU step in :meth:`loss`, run in plain numpy on the weights.
+        Every block of a layer's input that depends only on the trajectory
+        (H, the decode features, the expected offsets, τ) is multiplied out
+        once, before the tick loop; the loop keeps the blocks that depend
+        on the state h and the emitted (k, r).
         """
-        H = self.encode(s)
-        h = H.mean(axis=0)
-        obs_by_tick = {int(t): i for i, t in enumerate(s.obs_tick)}
+        with no_grad():
+            H = self.encode(s).data
+        d = self.d_h
         exp_offs = self.expected_offsets(s)
+        feats = self._decode_feats(s, s.tick_tau, exp_offs)  # (ℓ_ε, ℓ_R, 4)
+        (W1, b1), (W2, b2) = [(lin.W.data, lin.b.data) for lin in self.cls.layers]
+        (R1, rb1), (R2, rb2) = [(lin.W.data, lin.b.data) for lin in self.reg.layers]
+        gates = (self.gru.Wz, self.gru.Wr, self.gru.Wh)
+        Wg = np.concatenate([g.W.data for g in gates], axis=1)  # rows: [H[k], r, τ, h]
+        bg = np.concatenate([g.b.data for g in gates])
+        dc, dr = W1.shape[1], R1.shape[1]
+
+        # cls layer 1 over [H, h, H*h, feats]: the H and feats blocks
+        cls_pre = (H @ W1[:d] + b1) + feats @ W1[3 * d :]  # (ℓ_ε, ℓ_R, dc)
+        W1_Hh = W1[2 * d : 3 * d]
+        # reg layer 1 over [h, ψH, ψ·feats[:, :2], prior, exp_off]: ψ is
+        # applied after the H/feats blocks are multiplied out
+        reg_psi = (H @ R1[d : 2 * d]) + feats[..., :2] @ R1[2 * d : 2 * d + 2]  # (ℓ_ε, ℓ_R, dr)
+        reg_pre = exp_offs[:, None] * R1[2 * d + 3] + rb1  # (ℓ_ε, dr)
+        R1_prior = R1[2 * d + 2]
+        # GRU gates z, r, ĥ over [x, h] with x = [H[k], r, τ]
+        gate_H = H @ Wg[:d] + bg  # (ℓ_R, 3d)
+        W_rt = Wg[d : d + 2]
+        Wh_h = Wg[d + 2 :, 2 * d :]
+        # every block that multiplies h alone, side by side
+        W_h = np.concatenate([W1[d : 2 * d], R1[:d], Wg[d + 2 :, : 2 * d]], axis=1)
+
+        obs_by_tick = {int(t): i for i, t in enumerate(s.obs_tick)}
+        h = H.mean(axis=0)  # Alg.2 line 6
         segs = np.zeros(s.n_ticks, dtype=np.int64)
         ratios = np.zeros(s.n_ticks)
         k_prev = 0
         for tick in range(s.n_ticks):
+            hW = h @ W_h
             oi = obs_by_tick.get(tick)
             if oi is not None:
                 k = int(s.obs_pos[oi])
                 r = float(s.obs_feats[oi, 4])
             else:
-                tau = float(s.tick_tau[tick])
-                w = self._step_scores(H, h, s, tau, float(exp_offs[tick]))
-                wd = w.data.copy()
-                wd[:k_prev] = -np.inf  # Eq.(17): not before a_{j-1}.e
-                k = int(np.argmax(wd))
-                r = float(self._step_ratio(H, h, w, s, tau, float(exp_offs[tick]), k).data[0])
+                # Eq.(15) scores, then the argmax at or after a_{j-1}.e (Eq. 17)
+                a = np.maximum(cls_pre[tick] + hW[:dc] + (H * h) @ W1_Hh, 0.0)
+                w = (a @ W2)[:, 0] + b2[0]
+                k = k_prev + int(np.argmax(w[k_prev:]))
+                # Eq.(18) ratio: bounded correction around the prior
+                e = np.exp(w - w.max())
+                psi = e / e.sum()
+                prior = min(max(float(feats[tick, k, 0]), 0.0), 1.0)
+                a = np.maximum(hW[dc : dc + dr] + psi @ reg_psi[tick] + prior * R1_prior + reg_pre[tick], 0.0)
+                delta = np.tanh((a @ R2)[0] + rb2[0])
+                r = min(max(float(delta * 0.5 + prior), 0.0), 1.0 - 1e-6)
             segs[tick] = s.route[k]
             ratios[tick] = r
             k_prev = max(k_prev, k)
-            h = self.gru(self._gru_in(H, k, r, float(s.tick_tau[tick])), h)
+            # GRU step (GRUCell.forward) on x = [H[k], r, τ]
+            gx = gate_H[k] + np.array([r, s.tick_tau[tick]]) @ W_rt
+            zr = 1.0 / (1.0 + np.exp(-np.clip(gx[: 2 * d] + hW[dc + dr :], -60, 60)))
+            z = zr[:d]
+            hhat = np.tanh(gx[2 * d :] + (zr[d:] * h) @ Wh_h)
+            h = (1.0 - z) * h + z * hhat
         return segs, ratios

@@ -1,8 +1,10 @@
 """Gradient checks and semantics for the numpy autodiff core."""
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.nn.autodiff import Tensor, concat, numeric_grad, stack
+from repro.nn.autodiff import Tensor, concat, no_grad, numeric_grad, stack
 
 RNG = np.random.default_rng(42)
 
@@ -211,3 +213,49 @@ def test_item_and_shape_helpers():
     assert x.shape == (1, 1)
     assert x.ndim == 2
     assert x.T.shape == (1, 1)
+
+
+def test_item_of_one_element_array_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Tensor(np.ones(1)).item() == 1.0
+
+
+def test_no_grad_records_no_graph():
+    w = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+    x = Tensor(RNG.normal(size=(4, 3)))
+    with no_grad():
+        y = (x @ w).tanh()
+        c = concat([y, w[:2].T], axis=0)
+        s = stack([y, y], axis=0)
+        out = (c.sum() + s.mean()) * 2.0
+    for t in (y, c, s, out):
+        assert t._parents == () and t._backward is None and not t.requires_grad
+    # the values are those of the graph-building forward
+    assert np.array_equal(y.data, (x @ w).tanh().data)
+
+
+def test_backward_works_after_no_grad_exits():
+    w = Tensor(RNG.normal(size=(3,)), requires_grad=True)
+    with no_grad():
+        (w * 2.0).sum()
+    (w * w).sum().backward()
+    assert np.allclose(w.grad, 2 * w.data)
+
+
+def test_no_grad_nests_restores_and_decorates():
+    w = Tensor(np.ones(2), requires_grad=True)
+
+    @no_grad()
+    def infer(t):
+        return t * 3.0
+
+    with no_grad():
+        with no_grad():
+            pass
+        assert not (w * 1.0).requires_grad
+    assert not infer(w).requires_grad
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("boom")
+    assert (w * 1.0).requires_grad

@@ -43,6 +43,13 @@ def test_predict_returns_candidates(model, sample):
         assert p in sample.cand[i][sample.mask[i]]
 
 
+def test_predict_equals_argmax_of_graph_forward(model, sample):
+    logits = model.forward(sample)  # builds the autodiff graph
+    assert logits.requires_grad
+    expect = sample.cand[np.arange(len(sample.cand)), logits.data.argmax(axis=1)]
+    assert np.array_equal(model.predict(sample), expect)
+
+
 def test_loss_finite_and_positive(model, sample):
     l = model.loss(sample)
     assert np.isfinite(l.item())
